@@ -1,0 +1,32 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsNames are the filesystem magic numbers statfs reports for the
+// filesystems a data directory is likely to sit on.
+var fsNames = map[int64]string{
+	0xEF53:     "ext4",
+	0x58465342: "xfs",
+	0x9123683E: "btrfs",
+	0x01021994: "tmpfs",
+	0x794C7630: "overlayfs",
+	0x2FC12FC1: "zfs",
+	0x01021997: "9p",
+	0x65735546: "fuse",
+	0x6969:     "nfs",
+}
+
+// fsType names the filesystem holding dir.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	if n, ok := fsNames[int64(st.Type)]; ok {
+		return n
+	}
+	return fmt.Sprintf("0x%x", st.Type)
+}
