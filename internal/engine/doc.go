@@ -9,6 +9,16 @@
 // into a tree of physical operators chosen by a cost model grounded in
 // the per-relation statistics of internal/triplestore:
 //
+//   - index lookups for selections over a base relation whose condition
+//     pins a position to a constant (pos = "c", not !=): the lookup
+//     probes the permutation index leading on that position (a cached
+//     index in memory, a block-level RunSource.Match on a cold
+//     relation, never a full decode) and re-checks the whole condition
+//     per match. With several constant atoms it probes the one expecting
+//     the fewest matches. Join sides with such a side-only prefilter may
+//     become lookups too, when the cost model says so: a base scan often
+//     serves better as the indexed side of an index join, and forced
+//     join policies keep both sides as written;
 //   - index nested-loop joins probing the permutation indexes
 //     (SPO/POS/OSP) that internal/triplestore materializes per relation,
 //     probing the cross equality whose statistics promise the smallest

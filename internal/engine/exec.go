@@ -10,6 +10,22 @@ func (n *scanNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	return n.rel, nil
 }
 
+func (n *lookupNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
+	var ts []triplestore.Triple
+	if n.id != triplestore.NoID {
+		ts = n.rel.Match(n.perm, n.id)
+	}
+	ctx.trace.SetAttr("perm", n.perm.String())
+	ctx.trace.SetAttr("matched", len(ts))
+	out := triplestore.NewRelationCap(len(ts))
+	for _, t := range ts {
+		if n.cc.Holds(t, t) {
+			out.Add(t)
+		}
+	}
+	return out, nil
+}
+
 func (n *universeNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	return ctx.e.Universe(), nil
 }

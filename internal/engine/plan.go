@@ -171,6 +171,23 @@ type scanNode struct {
 	rel  *triplestore.Relation
 }
 
+// lookupNode is a selection over a base relation whose condition pins a
+// position to an object constant (pos = "c", not !=): instead of
+// scanning the relation it probes the permutation index leading on that
+// position (Relation.Match: a cached index in memory, a block-level
+// RunSource.Match on a cold relation) and re-checks the full condition
+// on each matched triple. A constant absent from the dictionary (NoID)
+// matches nothing, so exec returns empty without touching storage.
+type lookupNode struct {
+	name string
+	rel  *triplestore.Relation
+	perm triplestore.Perm
+	id   triplestore.ID
+	cond trial.Cond
+	cc   trial.CompiledCond
+	rows float64
+}
+
 type universeNode struct {
 	rows float64
 }
@@ -391,6 +408,11 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		if sc, ok := child.(*scanNode); ok {
+			if lk := c.lookupFor(sc, n.Cond); lk != nil {
+				return lk, nil
+			}
+		}
 		return &filterNode{
 			child: child,
 			cond:  n.Cond,
@@ -476,6 +498,41 @@ func (c *compiler) compileStar(n trial.Star) (*starNode, error) {
 		}
 	}
 	return sn, nil
+}
+
+// lookupFor returns an index lookup answering σ_cond over the scan, or
+// nil when no atom of cond is a constant equality on a position. With
+// several such atoms it probes the one expecting the fewest matches.
+// The estimate is the exact match count from the index the lookup will
+// probe anyway, or, on a cold relation, where counting would read
+// storage at plan time, the position's statistics-based fanout; a
+// constant the store does not know matches nothing.
+func (c *compiler) lookupFor(sc *scanNode, cond trial.Cond) *lookupNode {
+	var best *lookupNode
+	for _, a := range cond.Obj {
+		if a.Neq || a.L.IsConst == a.R.IsConst {
+			continue
+		}
+		pos, name := a.L.Pos, a.R.Name
+		if a.L.IsConst {
+			pos, name = a.R.Pos, a.L.Name
+		}
+		lk := &lookupNode{name: sc.name, rel: sc.rel, perm: triplestore.PermFor(pos.Index()), id: c.e.store.Lookup(name)}
+		switch {
+		case lk.id == triplestore.NoID:
+		case sc.rel.SourceBacked():
+			lk.rows = sc.rel.Stats().Fanout(pos.Index())
+		default:
+			lk.rows = float64(sc.rel.Index(lk.perm).MatchCount(lk.id))
+		}
+		if best == nil || lk.rows < best.rows {
+			best = lk
+		}
+	}
+	if best != nil {
+		best.cond, best.cc = cond, cond.Compile(c.e.store)
+	}
+	return best
 }
 
 // scanStats returns the statistics of a base-relation scan, or the zero
@@ -575,15 +632,20 @@ func sideOnlyCond(c trial.Cond, right bool) (trial.Cond, bool) {
 // (a materialized, reusable access path) and at least one cross-side
 // object equality to probe on; among the candidate equalities the
 // planner probes the one with the smallest fanout.
+//
+// A base-scan side whose side-only prefilter pins a position to a
+// constant may instead be served by an index lookup (lookupNode), at the
+// lookup's estimated size added to the join's cost. Each combination of
+// scan and lookup sides is costed, so a side stays a scan when it is
+// worth more as the indexed side of an index join: a selective lookup
+// probing a scanned base beats two lookups feeding a hash build. Forced
+// join policies keep both sides as written, so their routes keep
+// exercising the prefilters.
 func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) *joinNode {
-	objKeys := cond.CrossObjEqualities()
-	valKeys := cond.CrossValEqualities()
-	lRows, rRows := l.est(), r.est()
-
 	jn := &joinNode{
-		l: l, r: r, out: out, cond: cond,
+		out: out, cond: cond,
 		cc:      cond.Compile(c.e.store),
-		objKeys: objKeys,
+		objKeys: cond.CrossObjEqualities(),
 	}
 	if lc, ok := sideOnlyCond(cond, false); ok {
 		jn.lCond, jn.lCC, jn.hasLCond = lc, lc.Compile(c.e.store), true
@@ -591,52 +653,53 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 	if rc, ok := sideOnlyCond(cond, true); ok {
 		jn.rCond, jn.rCC, jn.hasRCond = rc, rc.Compile(c.e.store), true
 	}
-	if len(objKeys)+len(valKeys) == 0 {
-		jn.strategy = joinLoop
-		jn.rows = lRows * rRows
-		return jn
-	}
-	jn.rows = lRows
-	if rRows > jn.rows {
-		jn.rows = rRows
-	}
+	keyed := len(jn.objKeys)+len(cond.CrossValEqualities()) > 0
 
-	jn.strategy = joinHash
-	cost := lRows + rRows
-	bestKey := -1
-	if sc, ok := r.(*scanNode); ok && len(objKeys) > 0 {
-		st := sc.rel.Stats()
-		k, fan := bestProbeKey(objKeys, st, false)
-		if cst := lRows * fan; cst < cost {
-			jn.strategy, cost, bestKey = joinIndexRight, cst, k
-		}
-	}
-	if sc, ok := l.(*scanNode); ok && len(objKeys) > 0 {
-		st := sc.rel.Stats()
-		k, fan := bestProbeKey(objKeys, st, true)
-		if cst := rRows * fan; cst < cost {
-			jn.strategy, cost, bestKey = joinIndexLeft, cst, k
-		}
-	}
-	if bestKey > 0 {
-		// exec probes objKeys[0]; float the chosen key to the front.
-		keys := append([][2]trial.Pos{}, objKeys...)
-		keys[0], keys[bestKey] = keys[bestKey], keys[0]
-		jn.objKeys = keys
-	}
-	// Sort-merge: when both sides are base-relation scans their
-	// permutation indexes are already materialized in key order, so the
-	// join is one linear walk — no hash table, no per-tuple key strings.
-	// Chosen only when strictly cheaper, so an index probe at fanout 1
-	// (the chain-join sweet spot) keeps its plan.
-	if c.e.joinPolicy != JoinNoWCO && len(objKeys) > 0 {
-		_, lScan := l.(*scanNode)
-		_, rScan := r.(*scanNode)
-		if lScan && rScan {
-			if cst := optimizer.MergeCostFactor * (lRows + rRows); cst < cost || c.e.joinPolicy == JoinForceMerge {
-				jn.strategy = joinMerge
+	ls, rs := []planNode{l}, []planNode{r}
+	if c.e.joinPolicy == JoinAuto {
+		if sc, ok := l.(*scanNode); ok && jn.hasLCond {
+			if lk := c.lookupFor(sc, jn.lCond); lk != nil {
+				ls = append(ls, lk)
 			}
 		}
+		if sc, ok := r.(*scanNode); ok && jn.hasRCond {
+			if lk := c.lookupFor(sc, jn.rCond); lk != nil {
+				rs = append(rs, lk)
+			}
+		}
+	}
+	best, probeKey := -1.0, 0
+	for _, lc := range ls {
+		for _, rc := range rs {
+			strategy, cost, key := c.joinStrategyFor(lc, rc, jn.objKeys, keyed)
+			cost += lookupCost(lc) + lookupCost(rc)
+			if best < 0 || cost < best {
+				best = cost
+				jn.l, jn.r, jn.strategy, probeKey = lc, rc, strategy, key
+			}
+		}
+	}
+	// A lookup side applies its whole side-only condition itself.
+	if jn.l != l {
+		jn.hasLCond = false
+	}
+	if jn.r != r {
+		jn.hasRCond = false
+	}
+	if probeKey > 0 {
+		// exec probes objKeys[0]; float the chosen key to the front.
+		keys := append([][2]trial.Pos{}, jn.objKeys...)
+		keys[0], keys[probeKey] = keys[probeKey], keys[0]
+		jn.objKeys = keys
+	}
+	lRows, rRows := jn.l.est(), jn.r.est()
+	switch {
+	case !keyed:
+		jn.rows = lRows * rRows
+	case lRows > rRows:
+		jn.rows = lRows
+	default:
+		jn.rows = rRows
 	}
 	// Sharded engines resolve the indexed side's shard partitions now, so
 	// exec can run partition-probe (probe key = shard key) or broadcast-
@@ -644,12 +707,57 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 	if ss := c.e.sharded; ss != nil {
 		switch jn.strategy {
 		case joinIndexRight:
-			jn.shardRels = ss.ShardRelations(r.(*scanNode).name)
+			jn.shardRels = ss.ShardRelations(jn.r.(*scanNode).name)
 		case joinIndexLeft:
-			jn.shardRels = ss.ShardRelations(l.(*scanNode).name)
+			jn.shardRels = ss.ShardRelations(jn.l.(*scanNode).name)
 		}
 	}
 	return jn
+}
+
+// lookupCost is what producing a join side costs before the join runs:
+// a lookup touches its matches, a scan nothing, and a derived side was
+// costed where it was planned.
+func lookupCost(n planNode) float64 {
+	if lk, ok := n.(*lookupNode); ok {
+		return lk.rows
+	}
+	return 0
+}
+
+// joinStrategyFor returns the cheapest strategy joining l and r, its
+// cost and, for the index strategies, which of objKeys to probe.
+func (c *compiler) joinStrategyFor(l, r planNode, objKeys [][2]trial.Pos, keyed bool) (joinStrategy, float64, int) {
+	lRows, rRows := l.est(), r.est()
+	if !keyed {
+		return joinLoop, lRows * rRows, 0
+	}
+	strategy, cost, key := joinHash, lRows+rRows, 0
+	lSc, lScan := l.(*scanNode)
+	rSc, rScan := r.(*scanNode)
+	if rScan && len(objKeys) > 0 {
+		k, fan := bestProbeKey(objKeys, rSc.rel.Stats(), false)
+		if cst := lRows * fan; cst < cost {
+			strategy, cost, key = joinIndexRight, cst, k
+		}
+	}
+	if lScan && len(objKeys) > 0 {
+		k, fan := bestProbeKey(objKeys, lSc.rel.Stats(), true)
+		if cst := rRows * fan; cst < cost {
+			strategy, cost, key = joinIndexLeft, cst, k
+		}
+	}
+	// Sort-merge: when both sides are base-relation scans their
+	// permutation indexes are already materialized in key order, so the
+	// join is one linear walk — no hash table, no per-tuple key strings.
+	// Chosen only when strictly cheaper, so an index probe at fanout 1
+	// (the chain-join sweet spot) keeps its plan.
+	if c.e.joinPolicy != JoinNoWCO && len(objKeys) > 0 && lScan && rScan {
+		if cst := optimizer.MergeCostFactor * (lRows + rRows); cst < cost || c.e.joinPolicy == JoinForceMerge {
+			strategy, cost = joinMerge, cst
+		}
+	}
+	return strategy, cost, key
 }
 
 // bestProbeKey returns the cross equality whose indexed-side position
@@ -674,6 +782,7 @@ func bestProbeKey(objKeys [][2]trial.Pos, st triplestore.RelStats, left bool) (i
 }
 
 func (n *scanNode) est() float64     { return float64(n.rel.Len()) }
+func (n *lookupNode) est() float64   { return n.rows }
 func (n *universeNode) est() float64 { return n.rows }
 func (n *filterNode) est() float64   { return n.rows }
 func (n *unionNode) est() float64    { return n.l.est() + n.r.est() }
@@ -688,6 +797,7 @@ func (n *starNode) est() float64     { return n.rows }
 // so it carries the physical variant (join strategy, star access path)
 // but no per-query detail.
 func (n *scanNode) label() string     { return "scan" }
+func (n *lookupNode) label() string   { return "lookup" }
 func (n *universeNode) label() string { return "universe" }
 func (n *filterNode) label() string   { return "filter" }
 func (n *unionNode) label() string    { return "union" }
@@ -723,6 +833,11 @@ func indent(b *strings.Builder, depth int) {
 func (n *scanNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
 	fmt.Fprintf(b, "scan %s (%d triples)\n", n.name, n.rel.Len())
+}
+
+func (n *lookupNode) explain(b *strings.Builder, depth int) {
+	indent(b, depth)
+	fmt.Fprintf(b, "lookup %s %s [%s] est=%.0f\n", n.name, n.perm, n.cond.String(), n.rows)
 }
 
 func (n *universeNode) explain(b *strings.Builder, depth int) {

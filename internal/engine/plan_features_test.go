@@ -181,3 +181,107 @@ func TestPreparedTrace(t *testing.T) {
 		t.Errorf("WithoutOptimize Prepared.Trace = %v, want nil", p.Trace())
 	}
 }
+
+func TestConstantSelectionLookupPlan(t *testing.T) {
+	// σ with a constant equality over a base scan probes the permutation
+	// index leading on the constant's position.
+	for _, c := range []struct{ q, perm string }{
+		{"sigma[1=o3](E)", "lookup E SPO [1=o3]"},
+		{"sigma[2=p0](E)", "lookup E POS [2=p0]"},
+		{"sigma[3=o4](E)", "lookup E OSP [3=o4]"},
+		{"sigma[o4=3,1!=2](E)", "lookup E OSP [o4=3,1!=2]"},
+	} {
+		plan := explainFor(t, c.q)
+		if !strings.Contains(plan, c.perm) || strings.Contains(plan, "filter") {
+			t.Errorf("%s: want %q, got:\n%s", c.q, c.perm, plan)
+		}
+	}
+	// Inequalities and constant selections over derived inputs stay
+	// filters.
+	for _, c := range []struct {
+		q    string
+		opts []Option
+	}{
+		{"sigma[1!=o3](E)", nil},
+		{"sigma[1=o3](union(E, sigma[2!=p0](E)))", []Option{WithoutOptimize()}},
+	} {
+		plan := explainFor(t, c.q, c.opts...)
+		if strings.Contains(plan, "lookup") || !strings.Contains(plan, "filter [") {
+			t.Errorf("%s: want a filter, got:\n%s", c.q, plan)
+		}
+	}
+	// Results agree with the evaluator, including a constant the store
+	// does not know (an empty lookup) and a residual atom the lookup
+	// re-checks per match.
+	s := genstore.Chain(12, 2)
+	for _, q := range []string{
+		"sigma[1=o3](E)", "sigma[2=p1](E)", "sigma[3=o4](E)", "sigma[1=nowhere](E)",
+		"sigma[2=p0,1=o2](E)", "sigma[2=p0,3!=o1](E)", "sigma[1=o3,3=o3](E)",
+	} {
+		x := mustParseT(t, q)
+		want, err := trial.NewEvaluator(s).Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(s).Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: engine %d triples, evaluator %d", q, got.Len(), want.Len())
+		}
+	}
+}
+
+func TestJoinLookupSidePlan(t *testing.T) {
+	// The typed point-join template: the left side's constant becomes a
+	// subject lookup probing the right base relation's index, and the
+	// right side stays a scan (the indexed side) rather than a predicate
+	// lookup feeding a hash build.
+	s, err := genstore.PropertyGraph(1, 2000, 8000).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `join[1,2,3'; 3=1', 1="e7", 2'="type"](E, E)`
+	x := mustParseT(t, q)
+	plan, err := New(s).Explain(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(plan), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[1], "index-right") ||
+		!strings.Contains(lines[2], "lookup E SPO [1=e7]") || !strings.Contains(lines[3], "scan E") {
+		t.Errorf("want index-right over a lookup left side and a scanned right side, got:\n%s", plan)
+	}
+	want, err := trial.NewEvaluator(s).Eval(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 {
+		t.Fatal("template answers empty; pick a subject with typed neighbours")
+	}
+	// Forced join policies keep both sides as written, so their routes
+	// keep exercising the side-only prefilters.
+	for _, p := range []JoinPolicy{JoinAuto, JoinNoWCO, JoinForceMerge, JoinForceLeapfrog} {
+		e := New(s, WithJoinPolicy(p))
+		if p != JoinAuto {
+			plan, err := e.Explain(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(plan, "lookup") {
+				t.Errorf("policy %d swapped a join side for a lookup:\n%s", p, plan)
+			}
+			if p == JoinForceMerge && !strings.Contains(plan, "merge prefilter-left=[1=e7] prefilter-right=[2=type]") {
+				t.Errorf("forced merge lost its prefilters:\n%s", plan)
+			}
+		}
+		got, err := e.Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("policy %d: engine %d triples, evaluator %d", p, got.Len(), want.Len())
+		}
+	}
+}

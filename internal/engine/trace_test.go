@@ -178,3 +178,41 @@ func TestTraceOverheadPathUntraced(t *testing.T) {
 		t.Error("ExecTrace(nil) differs from Exec")
 	}
 }
+
+// TestExecTraceLookup: an index lookup traces as its own operator kind,
+// naming the permutation it probed and how many triples matched before
+// the residual condition.
+func TestExecTraceLookup(t *testing.T) {
+	s := genstore.Chain(20, 2)
+	x, err := trial.Parse("sigma[2=p1,1!=o3](E)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(s).Prepare(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.StartSpan("execute")
+	got, err := p.ExecTrace(root)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := root.Find("lookup")
+	if lk == nil {
+		t.Fatalf("no lookup span in trace:\n%s", root.Tree())
+	}
+	if lk.Attr("perm") != "POS" {
+		t.Errorf("lookup perm attr = %v, want POS", lk.Attr("perm"))
+	}
+	matched, ok := lk.Attr("matched").(int)
+	if !ok || matched < got.Len() || matched != s.Relation(genstore.RelE).Index(triplestore.POS).MatchCount(s.Lookup("p1")) {
+		t.Errorf("lookup matched attr = %v for %d results", lk.Attr("matched"), got.Len())
+	}
+	if out, _ := lk.Attr("out").(int); out != got.Len() {
+		t.Errorf("lookup out attr = %v, want %d", lk.Attr("out"), got.Len())
+	}
+	if _, ok := root.SelfTimes()["lookup"]; !ok {
+		t.Errorf("self-time breakdown lacks the lookup kind: %v", root.SelfTimes())
+	}
+}

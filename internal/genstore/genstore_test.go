@@ -1,7 +1,10 @@
 package genstore
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/trial"
@@ -118,5 +121,36 @@ func TestRandomExprEqualityOnly(t *testing.T) {
 		if !trial.EqualityOnly(e) {
 			t.Fatalf("EqualityOnly option produced %s", e)
 		}
+	}
+}
+
+// TestRandomExprStreamStable pins the generator's output for a fixed
+// seed: options that are left unset (Constants) must not draw from the
+// random stream, or every seeded differential corpus would silently
+// change. The digest is of 500 expressions rendered one per line.
+func TestRandomExprStreamStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	opts := ExprOptions{Relations: []string{RelE, "F"}, MaxDepth: 4, AllowStar: true, AllowValueConds: true, AllowUniverse: true}
+	h := sha256.New()
+	for i := 0; i < 500; i++ {
+		fmt.Fprintln(h, RandomExpr(rng, opts).String())
+	}
+	const want = "3fbf25b0721b2f773d26ca572d9734b69099c48efbd0627f17811cd045a972fd"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("expression stream digest %s, want %s", got, want)
+	}
+}
+
+func TestRandomExprConstants(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	opts := ExprOptions{Relations: []string{RelE}, MaxDepth: 3, Constants: []string{"o1", "absent"}}
+	consts := 0
+	for i := 0; i < 200; i++ {
+		if s := RandomExpr(rng, opts).String(); strings.Contains(s, "=o1") || strings.Contains(s, "=absent") {
+			consts++
+		}
+	}
+	if consts == 0 {
+		t.Error("Constants set, but no expression compares a position with a constant")
 	}
 }

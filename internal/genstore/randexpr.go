@@ -23,6 +23,12 @@ type ExprOptions struct {
 	// diff). U is cubic in the active domain, so large stores should
 	// disable it.
 	AllowUniverse bool
+	// Constants, when nonempty, lets object atoms compare a position
+	// with one of these object names (pos = "c" and pos != "c") — the
+	// point lookups of RDF. Include a name the store lacks to cover
+	// constants that resolve to nothing. Left empty, the generator draws
+	// exactly the random stream it always has.
+	Constants []string
 }
 
 // RandomExpr generates a random well-formed TriAL (or TriAL*) expression.
@@ -125,11 +131,15 @@ func randCond(rng *rand.Rand, opt ExprOptions, leftOnly bool) trial.Cond {
 			}
 			c.Val = append(c.Val, a)
 		} else {
-			c.Obj = append(c.Obj, trial.ObjAtom{
+			a := trial.ObjAtom{
 				L:   trial.P(pool[rng.Intn(len(pool))]),
 				R:   trial.P(pool[rng.Intn(len(pool))]),
 				Neq: neq,
-			})
+			}
+			if len(opt.Constants) > 0 && rng.Intn(2) == 0 {
+				a.R = trial.Obj(opt.Constants[rng.Intn(len(opt.Constants))])
+			}
+			c.Obj = append(c.Obj, a)
 		}
 	}
 	return c

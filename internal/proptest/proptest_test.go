@@ -3,8 +3,10 @@ package proptest
 import (
 	"flag"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/genstore"
 	"repro/internal/optimizer"
 	"repro/internal/trial"
@@ -81,6 +83,51 @@ func TestPropertyEquivalence(t *testing.T) {
 	}
 	t.Logf("checked %d (store, expression) pairs across %d routes each",
 		pairs, len(RoutesWithDisk(t, genstore.Chain(2, 1), shardCounts()...)))
+}
+
+// TestPropertyConstantAtoms is the main property over expressions whose
+// conditions compare positions with object constants — names the store
+// holds plus one it lacks — so selections and join sides plan as index
+// lookups (point probes on every route, block-level on disk-cold) and
+// must still match the evaluator byte for byte.
+func TestPropertyConstantAtoms(t *testing.T) {
+	const nStores, perStore = 8, 60
+	rng := rand.New(rand.NewSource(9876))
+	cfgs := exprConfigs()
+	pairs, lookups := 0, 0
+	for si := 0; si < nStores; si++ {
+		s, label := RandomStore(rng)
+		routes := RoutesWithDisk(t, s, shardCounts()...)
+		opt := optimizer.New(s)
+		eng := engine.New(s)
+		var consts []string
+		for id := 0; id < s.NumObjects() && len(consts) < 6; id += 1 + rng.Intn(3) {
+			consts = append(consts, s.Name(triplestore.ID(id)))
+		}
+		consts = append(consts, "absent-constant")
+		for i := 0; i < perStore; i++ {
+			cfg := cfgs[i%len(cfgs)]
+			cfg.AllowUniverse = false
+			cfg.Constants = consts
+			x := genstore.RandomExpr(rng, cfg)
+			if opt.Estimate(x) > 50_000 {
+				continue
+			}
+			if plan, err := eng.Explain(x); err == nil && strings.Contains(plan, "lookup ") {
+				lookups++
+			}
+			if CheckExpr(t, s, x, routes) {
+				pairs++
+			}
+			if t.Failed() {
+				t.Fatalf("divergence on store %s; stopping", label)
+			}
+		}
+	}
+	if pairs < 300 || lookups < 50 {
+		t.Errorf("%d pairs evaluated, %d planned a lookup; want >= 300 and >= 50", pairs, lookups)
+	}
+	t.Logf("checked %d constant-atom pairs, %d with lookups", pairs, lookups)
 }
 
 // TestShardMatrix is the CI shard-matrix entry point: the named paper

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -147,6 +148,74 @@ func TestQuerierColdStorage(t *testing.T) {
 	}
 	if n := eng.Stats().PinnedGenerations; n > 1 {
 		t.Fatalf("%d generations still pinned after querier Close", n)
+	}
+}
+
+// TestQuerierColdPointLookup pins, with counts rather than time, that a
+// point lookup on a zero-budget store never decodes the relation: a
+// constant selection and a join whose constant side is a lookup are
+// answered by block probes alone, leave the full-decode counter where
+// it was and promote nothing.
+func TestQuerierColdPointLookup(t *testing.T) {
+	mem := triplestore.NewStore()
+	var ops []triplestore.Op
+	for i := 0; i < 300; i++ {
+		ops = append(ops, triplestore.Op{
+			Rel: "E",
+			S:   fmt.Sprintf("n%d", i%40),
+			P:   fmt.Sprintf("p%d", i%3),
+			O:   fmt.Sprintf("n%d", (i*7+3)%40),
+		})
+	}
+	if _, err := mem.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := storage.CreateFrom(t.TempDir(), mem,
+		storage.WithSyncPolicy(storage.SyncNone), storage.WithReadBudget(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := NewStorage(eng)
+	defer q.Close()
+	qMem := New(mem)
+
+	// Planning reads the relation's statistics, computed (one full
+	// decode) once per relation; plan a first query so the counts below
+	// see the lookups alone.
+	if _, err := q.Query(LangTriAL, `sigma[1="n1"](E)`); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats().Residency
+	for _, src := range []string{
+		`sigma[1="n0"](E)`,
+		`sigma[3="n5"](E)`,
+		`join[1,2,3'; 3=1', 1="n0", 2'="p1"](E, E)`,
+	} {
+		if plan, err := q.Explain(LangTriAL, src); err != nil || !strings.Contains(plan, "lookup E") {
+			t.Fatalf("%s: plan has no lookup (err %v):\n%s", src, err, plan)
+		}
+		got, err := q.Query(LangTriAL, src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		want, err := qMem.Query(LangTriAL, src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if want.Len() == 0 || !got.Equal(want) {
+			t.Fatalf("%s: cold answered %d triples, mem %d", src, got.Len(), want.Len())
+		}
+	}
+	after := eng.Stats().Residency
+	if d := after.ColdDecodes - before.ColdDecodes; d != 0 {
+		t.Errorf("point lookups decoded the relation %d times, want 0", d)
+	}
+	if after.ColdProbes <= before.ColdProbes {
+		t.Errorf("cold probes %d -> %d: lookups never reached the segment blocks", before.ColdProbes, after.ColdProbes)
+	}
+	if after.Promotions != 0 {
+		t.Errorf("residency = %+v: point lookups promoted a relation", after)
 	}
 }
 

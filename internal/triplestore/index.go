@@ -279,6 +279,19 @@ func (ix *Index) MatchCount(id ID) int {
 	return n
 }
 
+// Match returns the triples whose perm-leading component equals id, in
+// perm key order. A source-backed relation answers with a block-level
+// RunSource.Match and makes no residency access (no Retain), so a point
+// lookup on a cold relation neither decodes it whole nor counts toward
+// its promotion; any other relation probes its cached index (Index).
+// The result must not be modified.
+func (r *Relation) Match(perm Perm, id ID) []Triple {
+	if r.SourceBacked() {
+		return r.src.Match(perm, id)
+	}
+	return r.Index(perm).Match(id)
+}
+
 // Index returns the relation's access path for the given permutation,
 // building and caching it on first use. Store-mediated additions extend
 // the cached index incrementally (see Relation.Add); removals drop it.
