@@ -219,6 +219,80 @@ func TestQuerierColdPointLookup(t *testing.T) {
 	}
 }
 
+// TestQuerierStorageStatsAfterWrites pins, with counts rather than
+// time, that planning after a write does not recount the relation: on a
+// store opened from a checkpoint, the first query computes the
+// relation's statistics once, and every later batch keeps them up to
+// date beside the permutation indexes, so twenty write-then-read cycles
+// — each read planned against a new snapshot — add no full pass. The
+// live relation stays run-backed throughout: no write builds a
+// membership map.
+func TestQuerierStorageStatsAfterWrites(t *testing.T) {
+	mem := triplestore.NewStore()
+	var ops []triplestore.Op
+	for i := 0; i < 300; i++ {
+		ops = append(ops, triplestore.Op{
+			Rel: "E",
+			S:   fmt.Sprintf("n%d", i%40),
+			P:   fmt.Sprintf("p%d", i%3),
+			O:   fmt.Sprintf("n%d", (i*7+3)%40),
+		})
+	}
+	if _, err := mem.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	created, err := storage.CreateFrom(dir, mem, storage.WithSyncPolicy(storage.SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := created.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := storage.Open(dir, storage.WithSyncPolicy(storage.SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := NewStorage(eng)
+	defer q.Close()
+	store := eng.Store()
+
+	if _, err := q.Query(LangTriAL, `sigma[1="n1"](E)`); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.RelationStatsPasses(); got != 1 {
+		t.Fatalf("first query: %d relation statistics passes, want 1", got)
+	}
+	for round := 0; round < 20; round++ {
+		subj := fmt.Sprintf("new%d", round)
+		batch := []triplestore.Op{
+			{Rel: "E", S: subj, P: "p0", O: "n1"},
+			{Rel: "E", S: subj, P: fmt.Sprintf("q%d", round), O: fmt.Sprintf("m%d", round)},
+		}
+		if _, err := eng.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.Query(LangTriAL, fmt.Sprintf(`sigma[1="%s"](E)`, subj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != len(batch) {
+			t.Fatalf("round %d: read back %d triples, want %d", round, got.Len(), len(batch))
+		}
+		if n := store.RelationStatsPasses(); n != 1 {
+			t.Fatalf("round %d: %d relation statistics passes, want 1", round, n)
+		}
+		if !store.Relation("E").RunBacked() {
+			t.Fatalf("round %d: the live relation built a membership map", round)
+		}
+	}
+	want := store.Relation("E").Len()
+	if st := store.Snapshot().Stats().Rel("E"); st.Triples != want {
+		t.Errorf("kept statistics count %d triples, relation has %d", st.Triples, want)
+	}
+}
+
 // TestQuerierCloseIsNoOpWithoutBackend pins that Close on a plain
 // Querier is safe and idempotent.
 func TestQuerierCloseIsNoOpWithoutBackend(t *testing.T) {

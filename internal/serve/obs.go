@@ -104,6 +104,9 @@ func newServerMetrics(q *query.Querier, store *triplestore.Store,
 	reg.CounterFunc("trial_store_stats_refreshes_total",
 		"per-relation statistics snapshot rebuilds",
 		func() uint64 { return store.StatsRefreshes() })
+	reg.CounterFunc("trial_store_relation_stats_passes_total",
+		"relation statistics computed from scratch (a full pass over the relation)",
+		func() uint64 { return store.RelationStatsPasses() })
 	reg.CounterFunc("trial_store_mutations_total", "triples actually inserted or deleted, lifetime",
 		func() uint64 { return store.MutationStats().Adds }, "op", "added")
 	reg.CounterFunc("trial_store_mutations_total", "",

@@ -810,11 +810,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// plan-cache misses (see internal/optimizer).
 		"optimizer": s.q.RewriteStats(),
 		// Statistics snapshot bookkeeping: how often the store-level
-		// per-relation statistics were rebuilt, and the store version the
-		// current snapshot reflects.
+		// per-relation statistics were rebuilt, how many relations had to
+		// be counted from scratch for it (writes keep them up to date
+		// otherwise), and the store version the current snapshot reflects.
 		"store_stats": map[string]any{
-			"refreshes": s.store.StatsRefreshes(),
-			"version":   s.store.Version(),
+			"refreshes":       s.store.StatsRefreshes(),
+			"relation_passes": s.store.RelationStatsPasses(),
+			"version":         s.store.Version(),
 		},
 		// Ingest counters: what arrived through /triples (batches and
 		// the triples they actually changed), read from the same obs

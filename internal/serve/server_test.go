@@ -190,8 +190,10 @@ func TestStatsAndHealth(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing store_stats: %v", body)
 	}
-	if _, ok := ss["refreshes"]; !ok {
-		t.Errorf("store_stats missing refreshes: %v", ss)
+	for _, key := range []string{"refreshes", "relation_passes"} {
+		if _, ok := ss[key]; !ok {
+			t.Errorf("store_stats missing %s: %v", key, ss)
+		}
 	}
 
 	// A query that the optimizer rewrites bumps the counters.

@@ -79,9 +79,10 @@ func (b *BulkLoader) SetRelationRuns(name string, spo, pos, osp []Triple) error 
 	}
 	// No membership map is built here: the strict sortedness just
 	// verified proves the runs duplicate-free, and the relation stays
-	// run-backed (set == nil, the sorted view authoritative) until its
-	// first mutation materializes the map. Skipping the 1-map-insert-
-	// per-triple build is most of what makes checkpoint recovery fast.
+	// run-backed (set == nil, the SPO index authoritative) — adds only
+	// extend the indexes, and a removal is the one mutation that
+	// materializes the map. Skipping the 1-map-insert-per-triple build is
+	// most of what makes checkpoint recovery fast.
 	r := &Relation{
 		sorted: spo, // SPO key order is Triple.Less order, i.e. the sorted view
 		idx: [numPerms]*Index{
@@ -143,7 +144,7 @@ func (b *BulkLoader) installRelation(name string, r *Relation) error {
 		}
 		return nil
 	}
-	if r.set == nil { // run-backed (SetRelationRuns): the sorted view is the content
+	if r.set == nil { // run-backed (SetRelationRuns): the SPO run is the content
 		for _, t := range r.sorted {
 			if err := check(t); err != nil {
 				return err

@@ -11,3 +11,14 @@ func SetNDJSONChunkHook(hook func(n int)) (restore func()) {
 	ndjsonChunkHook = hook
 	return func() { ndjsonChunkHook = prev }
 }
+
+// CachedStats returns the relation's cached statistics without
+// computing them, and whether there are any.
+func (r *Relation) CachedStats() (RelStats, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stats == nil {
+		return RelStats{}, false
+	}
+	return *r.stats, true
+}

@@ -112,12 +112,13 @@ func BuildIndex(r *Relation, perm Perm) *Index {
 	if r.set == nil && r.src != nil { // source-backed: decode in permutation order
 		return &Index{perm: perm, triples: r.src.Run(perm)}
 	}
-	if r.set == nil { // run-backed: copy the sorted view, re-sort for the permutation
-		ts := append([]Triple(nil), r.sorted...)
-		if perm == SPO {
-			return &Index{perm: perm, triples: ts} // already in SPO key order
+	if r.set == nil { // run-backed: copy the SPO index, re-sort for the permutation
+		spo := r.idx[SPO]
+		ts := make([]Triple, 0, spo.Len())
+		ts = append(append(ts, spo.triples...), spo.tail...)
+		if perm != SPO || len(spo.tail) > 0 {
+			sort.Slice(ts, func(i, j int) bool { return perm.key(ts[i]).Less(perm.key(ts[j])) })
 		}
-		sort.Slice(ts, func(i, j int) bool { return perm.key(ts[i]).Less(perm.key(ts[j])) })
 		return &Index{perm: perm, triples: ts}
 	}
 	ts := make([]Triple, 0, len(r.set))
@@ -206,14 +207,56 @@ func (ix *Index) Triples() []Triple {
 }
 
 // matchRun returns the subrange of the sorted run ts whose leading
-// component equals id.
+// component equals id: two binary searches, so O(log n) whatever the
+// match count.
 func matchRun(ts []Triple, lead int, id ID) []Triple {
 	lo := sort.Search(len(ts), func(i int) bool { return ts[i][lead] >= id })
-	hi := lo
-	for hi < len(ts) && ts[hi][lead] == id {
-		hi++
-	}
+	hi := lo + sort.Search(len(ts)-lo, func(i int) bool { return ts[lo+i][lead] > id })
 	return ts[lo:hi]
+}
+
+// contains reports whether the index covers t: a binary search in the
+// base run and one in the tail.
+func (ix *Index) contains(t Triple) bool {
+	key := ix.perm.key(t)
+	for _, run := range [2][]Triple{ix.triples, ix.tail} {
+		i := sort.Search(len(run), func(i int) bool { return !ix.perm.key(run[i]).Less(key) })
+		if i < len(run) && run[i] == t {
+			return true
+		}
+	}
+	return false
+}
+
+// leadGroups returns the number of distinct leading-position values and
+// the size of the largest group sharing one, in one linear pass over the
+// base run and the tail together (no merged copy, no map).
+func (ix *Index) leadGroups() (distinct, largest int) {
+	lead := ix.perm.Lead()
+	a, b := ix.triples, ix.tail
+	for len(a) > 0 || len(b) > 0 {
+		var v ID
+		switch {
+		case len(a) == 0:
+			v = b[0][lead]
+		case len(b) == 0 || a[0][lead] <= b[0][lead]:
+			v = a[0][lead]
+		default:
+			v = b[0][lead]
+		}
+		n := 0
+		for len(a) > 0 && a[0][lead] == v {
+			a, n = a[1:], n+1
+		}
+		for len(b) > 0 && b[0][lead] == v {
+			b, n = b[1:], n+1
+		}
+		distinct++
+		if n > largest {
+			largest = n
+		}
+	}
+	return distinct, largest
 }
 
 // Match returns the triples whose leading-position component equals id.

@@ -53,16 +53,32 @@ func (r *Relation) SourceBacked() bool {
 	return r.set == nil && r.sorted == nil && r.src != nil
 }
 
+// RunBacked reports whether the relation holds its content in sorted
+// runs — its SPO index — with neither a membership map nor a RunSource.
+// Like SourceBacked it is a representation observation only — results
+// are identical either way.
+func (r *Relation) RunBacked() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.runBacked()
+}
+
 // sortedLocked returns the relation's sorted view, materializing it from
-// the set or the source as needed. A source-backed relation caches the
-// decoded run only when the source's residency policy allows (Retain);
-// otherwise the slice is transient and the next call decodes again.
-// Callers hold r.mu.
+// the set, the SPO index or the source as needed. A source-backed
+// relation caches the decoded run only when the source's residency
+// policy allows (Retain); otherwise the slice is transient and the next
+// call decodes again. A run-backed relation's view is its SPO index's
+// base run when the index has no tail, and the merge of base and tail
+// otherwise. Callers hold r.mu.
 func (r *Relation) sortedLocked() []Triple {
 	if r.sorted != nil {
 		return r.sorted
 	}
-	if r.set == nil && r.src != nil {
+	if r.runBacked() {
+		r.sorted = r.idx[SPO].Triples()
+		return r.sorted
+	}
+	if r.set == nil {
 		ts := r.src.Run(SPO)
 		if r.src.Retain(false) {
 			r.sorted = ts

@@ -1,9 +1,6 @@
 package triplestore
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Relation is a set of triples — one of the ternary relations Ei of a
 // triplestore, or the result of evaluating a (closed) algebra expression.
@@ -17,27 +14,30 @@ import (
 // next store-mediated write (copy-on-write), so snapshot readers never
 // observe a change.
 //
-// A relation may be run-backed: set == nil with the sorted view holding
-// the complete content (strictly sorted, duplicate-free). Bulk loading
-// from a checkpoint segment produces these — membership is answered by
-// binary search and the map is only materialized (ensureSet) when the
-// relation is first mutated, so cold-start recovery never pays for a
-// map it may never need.
+// A relation may be run-backed: set == nil and src == nil, with the
+// content held in sorted runs — the cached SPO index (base run plus
+// sorted tail) is the content, and the sorted view is only a cache of
+// it. Bulk loading from a checkpoint segment produces these, with all
+// three permutation indexes. Membership is a binary search in the SPO
+// index; Add extends the indexes (see Index.withAdded) and keeps the
+// relation run-backed, so a fully indexed relation never carries a
+// membership map and its copy-on-write Clone is a pointer copy. Only
+// Remove materializes the map (ensureSet).
 //
 // A relation may further be source-backed: set == nil and sorted == nil
 // with src serving the content straight from storage (see RunSource).
 // Reads decode only what they touch; full decodes are cached only when
 // the source's residency policy allows, and the first mutation
-// materializes the membership map exactly like the run-backed case.
+// materializes the membership map.
 type Relation struct {
-	set    map[Triple]struct{} // nil ⇒ run- or source-backed
+	set    map[Triple]struct{} // nil ⇒ run-backed (idx[SPO] is the content) or source-backed
 	src    RunSource           // non-nil ⇒ content may be served from storage
 	frozen bool                // set by Store.Snapshot; mutation panics, the store clones first
 
 	mu     sync.Mutex       // guards the lazy caches below
 	sorted []Triple         // cached sorted view; nil when stale
-	idx    [numPerms]*Index // cached permutation indexes; nil when stale
-	stats  *RelStats        // cached statistics; nil when stale
+	idx    [numPerms]*Index // cached permutation indexes; nil when stale, but idx[SPO] never when run-backed
+	stats  *RelStats        // cached statistics; nil when stale, replaced (never written through) on Add
 }
 
 // NewRelation returns an empty relation.
@@ -61,19 +61,27 @@ func RelationOf(ts ...Triple) *Relation {
 
 // Add inserts t and reports whether it was new. Permutation indexes that
 // have already been built are maintained incrementally (each gains t in
-// its sorted overlay) instead of being dropped for a full rebuild; the
-// sorted view and statistics are still invalidated.
+// its sorted overlay) instead of being dropped for a full rebuild, and
+// so are cached statistics while all three indexes are there (see
+// statsWith); the sorted view is invalidated. A run-backed relation
+// stays run-backed.
 func (r *Relation) Add(t Triple) bool {
 	if r.frozen {
 		panic("triplestore: Add on a frozen (snapshot) relation")
 	}
-	r.ensureSet()
-	if _, ok := r.set[t]; ok {
-		return false
+	if r.runBacked() && r.fullyIndexed() {
+		if r.idx[SPO].contains(t) {
+			return false
+		}
+	} else {
+		r.ensureSet()
+		if _, ok := r.set[t]; ok {
+			return false
+		}
+		r.set[t] = struct{}{}
 	}
-	r.set[t] = struct{}{}
 	r.sorted = nil
-	r.stats = nil
+	r.stats = r.statsWith(t)
 	for p, ix := range r.idx {
 		if ix != nil {
 			r.idx[p] = ix.withAdded(t)
@@ -100,9 +108,18 @@ func (r *Relation) Remove(t Triple) bool {
 	return true
 }
 
+// runBacked reports whether the relation's content is its SPO index.
+func (r *Relation) runBacked() bool { return r.set == nil && r.src == nil }
+
+// fullyIndexed reports whether all three permutation indexes are cached.
+func (r *Relation) fullyIndexed() bool {
+	return r.idx[SPO] != nil && r.idx[POS] != nil && r.idx[OSP] != nil
+}
+
 // ensureSet materializes the membership map of a run- or source-backed
-// relation. Callers must hold exclusive access (it is only reached from
-// mutation paths, which require that anyway).
+// relation. Callers must hold exclusive access (it is reached from
+// Remove, and from Add on a relation that is not both run-backed and
+// fully indexed).
 //
 // The decode itself is transient as far as the residency tracker is
 // concerned: evaluators clone base relations and mutate the clones (a
@@ -113,13 +130,17 @@ func (r *Relation) ensureSet() {
 	if r.set != nil {
 		return
 	}
-	ts := r.sorted
-	if r.src != nil {
-		if ts == nil {
-			ts = r.src.Run(SPO)
-		}
-		r.src = nil
+	if r.src == nil { // run-backed
+		set := make(map[Triple]struct{}, r.Len())
+		r.ForEach(func(t Triple) { set[t] = struct{}{} })
+		r.set = set
+		return
 	}
+	ts := r.sorted
+	if ts == nil {
+		ts = r.src.Run(SPO)
+	}
+	r.src = nil
 	set := make(map[Triple]struct{}, len(ts))
 	for _, t := range ts {
 		set[t] = struct{}{}
@@ -155,9 +176,9 @@ func (r *Relation) Has(t Triple) bool {
 			}
 			return false
 		}
-		ts := r.sorted
-		i := sort.Search(len(ts), func(i int) bool { return !ts[i].Less(t) })
-		return i < len(ts) && ts[i] == t
+		// Run-backed: the SPO index, not the sorted view — the view may
+		// be cached concurrently under the mutex, the index may not.
+		return r.idx[SPO].contains(t)
 	}
 	_, ok := r.set[t]
 	return ok
@@ -169,7 +190,7 @@ func (r *Relation) Len() int {
 		if r.src != nil {
 			return r.src.Len()
 		}
-		return len(r.sorted)
+		return r.idx[SPO].Len()
 	}
 	return len(r.set)
 }
@@ -184,12 +205,13 @@ func (r *Relation) Triples() []Triple {
 	return r.sortedLocked()
 }
 
-// Slice returns the triples in unspecified order: the cached sorted view
-// when one exists, otherwise an unsorted copy — cheaper than Triples()
+// Slice returns the triples in unspecified order: the sorted view when
+// one is cached or the relation has no map (its runs merge in linear
+// time), otherwise an unsorted copy of the map — cheaper than Triples()
 // when the caller only iterates. The returned slice must not be modified.
 func (r *Relation) Slice() []Triple {
 	r.mu.Lock()
-	if r.sorted != nil || (r.set == nil && r.src != nil) {
+	if r.sorted != nil || r.set == nil {
 		s := r.sortedLocked()
 		r.mu.Unlock()
 		return s
@@ -216,8 +238,11 @@ func (r *Relation) ForEach(f func(Triple)) {
 			}
 			return
 		}
-		for _, t := range r.sorted {
-			f(t)
+		spo := r.idx[SPO]
+		for _, run := range [2][]Triple{spo.triples, spo.tail} {
+			for _, t := range run {
+				f(t)
+			}
 		}
 		return
 	}
@@ -240,11 +265,11 @@ func (r *Relation) Clone() *Relation {
 		}
 	}
 	// A run-backed clone stays run-backed, and a source-backed clone
-	// stays source-backed (sources are immutable and safely shared): the
-	// shared sorted view is never mutated in place (Add/Remove
-	// materialize a private map and drop the cache), so copy-on-write of
-	// a bulk-loaded relation is a pointer copy until someone actually
-	// writes to the copy.
+	// stays source-backed (sources are immutable and safely shared):
+	// the shared sorted view, indexes and statistics are never mutated
+	// in place (Add replaces them with new values, Remove materializes a
+	// private map and drops them), so copy-on-write of a bulk-loaded
+	// relation is a pointer copy however often it is written.
 	r.mu.Lock()
 	c.sorted = r.sorted
 	c.src = r.src
@@ -304,13 +329,7 @@ func (r *Relation) Equal(s *Relation) bool {
 		return false
 	}
 	if r.set == nil {
-		var ts []Triple
-		if r.src != nil {
-			ts = r.Triples() // locked: r.sorted may be cached concurrently
-		} else {
-			ts = r.sorted
-		}
-		for _, t := range ts {
+		for _, t := range r.Triples() { // locked: r.sorted may be cached concurrently
 			if !s.Has(t) {
 				return false
 			}

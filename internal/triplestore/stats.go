@@ -60,27 +60,45 @@ func (st RelStats) WorstFanout(pos int) float64 {
 	return float64(m)
 }
 
-// Stats computes (and caches) the relation's statistics. Like the sorted
-// view and the permutation indexes, the cached statistics are dropped on
-// mutation, so they are always consistent with the current contents; the
-// recomputation is a single O(|R|) pass. Safe for concurrent readers.
+// Stats computes (and caches) the relation's statistics. Safe for
+// concurrent readers. Add keeps cached statistics up to date while the
+// relation carries all three permutation indexes (statsWith), at three
+// index probes per triple; Remove, and Add on a relation missing an
+// index, drop them. The recomputation reads each position's Distinct
+// and MaxMatch off the group boundaries of the cached index leading on
+// it, one linear pass and no map; a relation without all three indexes
+// counts through maps over its content instead.
 func (r *Relation) Stats() RelStats {
+	st, _ := r.statsComputed()
+	return st
+}
+
+// statsComputed is Stats, also reporting whether this call computed the
+// statistics from scratch rather than returning cached ones.
+func (r *Relation) statsComputed() (RelStats, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stats != nil {
-		return *r.stats
+		return *r.stats, false
 	}
-	n := r.Len()
+	st := RelStats{Triples: r.Len()}
+	if r.fullyIndexed() {
+		for i := range st.Distinct {
+			st.Distinct[i], st.MaxMatch[i] = r.idx[PermFor(i)].leadGroups()
+		}
+		r.stats = &st
+		return st, true
+	}
 	var counts [3]map[ID]int
 	for i := range counts {
-		counts[i] = make(map[ID]int, n)
+		counts[i] = make(map[ID]int, st.Triples)
 	}
 	count := func(t Triple) {
 		counts[0][t[0]]++
 		counts[1][t[1]]++
 		counts[2][t[2]]++
 	}
-	if r.set == nil { // run- or source-backed: the sorted view is the content
+	if r.set == nil { // run- or source-backed
 		for _, t := range r.sortedLocked() {
 			count(t)
 		}
@@ -89,11 +107,8 @@ func (r *Relation) Stats() RelStats {
 			count(t)
 		}
 	}
-	st := RelStats{
-		Triples:  n,
-		Distinct: [3]int{len(counts[0]), len(counts[1]), len(counts[2])},
-	}
 	for i, c := range counts {
+		st.Distinct[i] = len(c)
 		for _, n := range c {
 			if n > st.MaxMatch[i] {
 				st.MaxMatch[i] = n
@@ -101,7 +116,29 @@ func (r *Relation) Stats() RelStats {
 		}
 	}
 	r.stats = &st
-	return st
+	return st, true
+}
+
+// statsWith returns the statistics of the relation with t added — a
+// fresh value, since the cached one may be shared with a frozen clone —
+// or nil when there are no cached statistics or an index is missing.
+// It must run before the indexes take t: a position's match count for
+// t[i] tells whether t[i] is a new value there (count 0) and how large
+// its group grows (count + 1).
+func (r *Relation) statsWith(t Triple) *RelStats {
+	if r.stats == nil || !r.fullyIndexed() {
+		return nil
+	}
+	st := *r.stats
+	for i := range st.Distinct {
+		c := r.idx[PermFor(i)].MatchCount(t[i])
+		if c == 0 {
+			st.Distinct[i]++
+		}
+		st.MaxMatch[i] = max(st.MaxMatch[i], c+1)
+	}
+	st.Triples++
+	return &st
 }
 
 // StoreStats is a snapshot of the statistics of every relation in a
@@ -147,7 +184,11 @@ func (s *Store) Stats() StoreStats {
 	}
 	snap := StoreStats{Version: v, Relations: make(map[string]RelStats, len(s.rels))}
 	for _, name := range s.relNames {
-		snap.Relations[name] = s.rels[name].Stats()
+		st, computed := s.rels[name].statsComputed()
+		if computed {
+			s.relStatsPasses.Add(1)
+		}
+		snap.Relations[name] = st
 	}
 	if !s.frozen {
 		s.mu.RUnlock()
@@ -164,3 +205,9 @@ func (s *Store) StatsRefreshes() uint64 {
 	defer s.statsCache.mu.Unlock()
 	return s.statsCache.refreshes
 }
+
+// RelationStatsPasses reports how many times Stats, on the store or on
+// any of its snapshots, found a relation without cached statistics and
+// computed them from scratch — the O(|R|) pass that incremental upkeep
+// on Add (Relation.Stats) exists to avoid after every write.
+func (s *Store) RelationStatsPasses() uint64 { return s.relStatsPasses.Load() }

@@ -57,11 +57,14 @@ type Store struct {
 	snapshots atomic.Uint64
 
 	statsCache statsCache // lazily computed statistics snapshot (stats.go)
+	// relStatsPasses counts relation statistics computed from scratch
+	// for Stats; shared with every snapshot (RelationStatsPasses).
+	relStatsPasses *atomic.Uint64
 }
 
 // NewStore returns an empty triplestore.
 func NewStore() *Store {
-	return &Store{dict: NewDict(), rels: make(map[string]*Relation)}
+	return &Store{dict: NewDict(), rels: make(map[string]*Relation), relStatsPasses: new(atomic.Uint64)}
 }
 
 // ensureMutable panics when s is a read-only Snapshot view.
@@ -331,6 +334,8 @@ func (s *Store) Snapshot() *Store {
 		dictLen: s.dict.Len(),
 		rels:    make(map[string]*Relation, len(s.rels)),
 		values:  s.values[:len(s.values):len(s.values)],
+
+		relStatsPasses: s.relStatsPasses,
 	}
 	snap.relNames = append(snap.relNames, s.relNames...)
 	for name, r := range s.rels {
